@@ -12,23 +12,35 @@ Message loss: a per-link ``loss_hook`` (see :mod:`repro.net.faults`) is
 consulted at delivery time; if it returns True the message is silently
 discarded, reproducing the paper's receiver-side fault injection (§4.5).
 
-Single-event hops
------------------
+Per-link arrival queues
+-----------------------
 
 With a virtual-time transmission server the serialisation completion of an
-accepted message is known at submit time, so a jitter-free link (the
-default configuration) schedules exactly **one** kernel event per hop — the
-propagation arrival at ``completion + latency`` — plus a pacing event at
-``completion`` only when the sender asked for ``on_wire``. Jittered links
-keep the legacy two-event path (serialisation completion, then arrival) so
-the ``link-jitter`` RNG is drawn at exactly the same instants and in the
-same order as before. :meth:`degrade` converts not-yet-serialised fast-path
-messages back onto the legacy path so they observe the post-degradation
+accepted message is known at submit time. On a jitter-free link (the
+default configuration) every in-flight message therefore waits in the
+link's own FIFO as ``(completion, seq, payload)``: completions come from
+the link's FIFO server and never decrease, the latency is constant, and
+each ``seq`` is allocated at transmit time in transmit order, so the
+queue is already sorted by the kernel's ``(time, seq)`` arrival order.
+The link keeps exactly **one** kernel event armed, for its head entry at
+``completion + latency`` with the head's own ``seq``; when it fires the
+link pops the head, arms the next entry and only then delivers, so every
+arrival runs at the instant and in the tie-break position a separately
+pushed event would have had. A pacing event at ``completion`` is pushed
+only when the sender asked for ``on_wire``.
+
+Jittered links keep the two-event path (serialisation completion, then
+arrival) so the ``link-jitter`` RNG is drawn at exactly the same instants
+and in the same order. :meth:`DirectedLink.degrade` flushes the queue:
+messages already serialised become ordinary arrival events at their
+old-latency instant and original ``seq``, and not-yet-serialised ones move
+onto the two-event path so they observe the post-degradation
 latency/jitter, preserving the documented "only messages serialised after
 the call see the new parameters" contract.
 """
 
 from collections import deque
+from itertools import islice
 
 from repro.sim.server import make_server
 
@@ -77,14 +89,10 @@ class DirectedLink:
     __slots__ = (
         "sim", "src", "dst", "latency_s", "config", "_stats",
         "_server", "_submit_timed", "_submit_fast", "_submit_chain",
-        "_in_flight", "_jitter_rng", "_deliver", "_arrive_cb",
-        "loss_hook", "_base_latency_s", "_base_config", "_base_jitter_rng",
+        "_in_flight", "_counted", "_armed", "_jitter_rng", "_deliver",
+        "_arrive_cb", "_arrive_one_cb", "loss_hook", "_base_latency_s",
+        "_base_config", "_base_jitter_rng",
     )
-
-    #: Drain fast-path counters once this many transmissions accumulate
-    #: (reads through :attr:`stats` always drain; this bound only caps the
-    #: deque between reads).
-    _DRAIN_BATCH = 256
 
     def __init__(self, sim, src, dst, latency_s, config, deliver, loss_hook=None):
         """
@@ -104,18 +112,29 @@ class DirectedLink:
         self._stats = LinkStats()
         self._server = make_server(sim, capacity=config.queue_capacity,
                                    on_drop=self._on_queue_drop)
-        # The fast path needs the completion time at submit; a server
+        # The arrival queue needs the completion time at submit; a server
         # without submit_timed (the legacy reference) disables it.
         self._submit_timed = getattr(self._server, "submit_timed", None)
         self._submit_fast = getattr(self._server, "submit_fast", None)
         self._submit_chain = getattr(self._server, "submit_chain", None)
-        # One bound method reused for every hop: creating `self._arrive`
-        # per transmission is a measurable share of hot-path allocation.
-        self._arrive_cb = self._arrive
-        #: Fast-path messages not yet drained into ``stats.sent``, as
-        #: (serialisation_completion, size_bytes, payload, arrive_event)
-        #: in completion order.
+        # One bound method reused for every arming: creating
+        # `self._arrive_head` per arrival is a measurable share of
+        # hot-path allocation.
+        self._arrive_cb = self._arrive_head
+        #: ``_arrive`` bound on first use: only the two-event path needs
+        #: it, and binding it for every link is a measurable share of
+        #: deployment set-up.
+        self._arrive_one_cb = None
+        #: Arrival queue: every in-flight message on the jitter-free path
+        #: as (serialisation_completion, seq, payload), in ``(time, seq)``
+        #: arrival order. Only the head has a kernel event, ``_armed``.
         self._in_flight = deque()
+        #: Leading entries of ``_in_flight`` already drained into
+        #: ``stats.sent`` (their serialisation completed before a read).
+        self._counted = 0
+        #: The head's arrival event; meaningful only while ``_in_flight``
+        #: is non-empty (a fired event is recycled by the kernel).
+        self._armed = None
         self._jitter_rng = sim.rng("link-jitter") if config.jitter_s > 0 else None
         self._deliver = deliver
         self.loss_hook = loss_hook
@@ -128,9 +147,9 @@ class DirectedLink:
     def stats(self):
         """Counters, drained to the current instant before reading.
 
-        Fast-path messages count as ``sent`` once their serialisation
-        completion has passed — the same instant the legacy path's
-        completion event incremented the counter.
+        Queued messages count as ``sent`` once their serialisation
+        completion has passed — the same instant the two-event path's
+        completion event increments the counter.
         """
         self._drain_sent(self.sim.now)
         return self._stats
@@ -144,6 +163,9 @@ class DirectedLink:
         Queued and in-flight messages are unaffected; only messages
         serialised after the call see the new parameters.
         """
+        # Flush under the old latency: serialised messages keep the
+        # arrival instant they were transmitted with.
+        self._flush_arrivals()
         base = self._base_config
         self.latency_s = self._base_latency_s * latency_factor
         if extra_jitter_s > 0:
@@ -154,7 +176,6 @@ class DirectedLink:
         else:
             self.config = base
             self._jitter_rng = self._base_jitter_rng
-        self._requeue_in_flight()
 
     def restore(self):
         """Undo any degradation (see :meth:`degrade`)."""
@@ -162,7 +183,7 @@ class DirectedLink:
 
     @property
     def fast_path(self):
-        """Whether :meth:`transmit_timed` will take the single-event hop."""
+        """Whether :meth:`transmit_timed` will queue the arrival on the link."""
         return self._submit_fast is not None and self._jitter_rng is None
 
     @property
@@ -178,11 +199,12 @@ class DirectedLink:
 
         Senders that pace themselves arithmetically (tracking when the
         link frees instead of asking for an ``on_wire`` event) call this
-        first: when the single-event hop applies, the payload is committed
-        to the wire, exactly one arrival event is scheduled, and the
-        instant the link frees is returned. Returns ``None`` when the fast
-        path is unavailable (jittered link, or an event-per-job legacy
-        server) — the caller must then fall back to :meth:`transmit`.
+        first: when the link is jitter-free, the payload is committed to
+        the wire, appended to the link's arrival queue (arming a kernel
+        event only if it is the head), and the instant the link frees is
+        returned. Returns ``None`` when the fast path is unavailable
+        (jittered link, or an event-per-job legacy server) — the caller
+        must then fall back to :meth:`transmit`.
 
         Callers are expected to transmit only while the link is idle, so a
         queue-full drop cannot normally occur here; if it does, the drop
@@ -197,12 +219,14 @@ class DirectedLink:
         sim = self.sim
         if completion is None:
             return sim.now
-        # completion >= now by construction, so the arrival can take the
-        # kernel's unchecked hot path.
-        event = sim.push_event(completion + self.latency_s,
-                               self._arrive_cb, (payload,))
-        self._in_flight.append((completion, payload.size_bytes,
-                                payload, event))
+        in_flight = self._in_flight
+        seq = sim.next_seq()
+        if not in_flight:
+            # completion >= now by construction, so the arrival can take
+            # the kernel's unchecked hot path.
+            self._armed = sim.push_event(completion + self.latency_s,
+                                         self._arrive_cb, (), seq)
+        in_flight.append((completion, seq, payload))
         return completion
 
     def transmit_chained(self, payload):
@@ -211,20 +235,23 @@ class DirectedLink:
         The batched gossip pump calls this for every message of a
         validated round in one go: each serialisation is appended to the
         transmission server's busy tail (:meth:`FifoServer.submit_chain`)
-        and exactly one arrival event is armed at its arithmetic
-        completion — the same ``(time, seq)`` positions a per-message pump
-        paced by wake-up events would have produced. Callers must check
-        :attr:`fast_path` first; chains never drop (the sender paces
-        itself, so chain entries model pacing, not queue contention).
-        Returns the serialisation completion.
+        and the message joins the link's arrival queue with a ``seq``
+        allocated now — the same ``(time, seq)`` position a per-message
+        pump paced by wake-up events would have given its arrival event.
+        Callers must check :attr:`fast_path` first; chains never drop (the
+        sender paces itself, so chain entries model pacing, not queue
+        contention). Returns the serialisation completion.
         """
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
         completion = self._submit_chain(service)
-        event = self.sim.push_event(completion + self.latency_s,
-                                    self._arrive_cb, (payload,))
-        self._in_flight.append((completion, payload.size_bytes,
-                                payload, event))
+        sim = self.sim
+        in_flight = self._in_flight
+        seq = sim.next_seq()
+        if not in_flight:
+            self._armed = sim.push_event(completion + self.latency_s,
+                                         self._arrive_cb, (), seq)
+        in_flight.append((completion, seq, payload))
         return completion
 
     def abort_pending_chain(self):
@@ -234,25 +261,28 @@ class DirectedLink:
         pump would simply never have transmitted the rest of the round.
         The message in service stays — it is on the wire and arrives, as
         it does in the reference — while queued chain entries are removed
-        from the transmission server and their pre-armed arrival events
-        cancelled. Entries already converted to the legacy path by
-        :meth:`degrade` are no longer in ``_in_flight`` and are left
+        from the transmission server and from the tail of the arrival
+        queue. If that empties the queue, its armed head event is
+        cancelled. Messages moved onto the two-event path by
+        :meth:`degrade` are no longer in the arrival queue and are left
         alone. Returns the number of withdrawn messages.
         """
         server = self._server
         abort = getattr(server, "abort_queued", None)
-        if abort is None or not self._in_flight:
+        in_flight = self._in_flight
+        if abort is None or not in_flight:
             # No abort hook (legacy server), or a mid-round degrade moved
-            # the chain onto the legacy serialisation path (emptying
-            # ``_in_flight``): those messages' serialisation events are
+            # the chain onto the two-event serialisation path (emptying
+            # the arrival queue): those messages' serialisation events are
             # armed and will fire, so their server jobs must stand.
             return 0
         removed, busy_until = abort(self.sim.now)
         if removed:
-            in_flight = self._in_flight
-            sim = self.sim
+            # Withdrawn jobs had not started, so none was counted as sent.
             while in_flight and in_flight[-1][0] > busy_until:
-                sim.cancel(in_flight.pop()[3])
+                in_flight.pop()
+            if not in_flight:
+                self.sim.cancel(self._armed)
         return removed
 
     def transmit(self, payload, on_wire=None):
@@ -268,17 +298,19 @@ class DirectedLink:
         submit_timed = self._submit_timed
         if submit_timed is not None and self._jitter_rng is None:
             # Fast path: the serialisation completion is arithmetic, so the
-            # only event this hop needs is the propagation arrival (plus a
-            # pacing wake-up when the sender asked for one). ``args`` carry
-            # the payload and on_wire to _on_queue_drop.
+            # message joins the arrival queue (plus a pacing wake-up when
+            # the sender asked for one). ``args`` carry the payload and
+            # on_wire to _on_queue_drop.
             completion = submit_timed(service, None, payload, on_wire)
             if completion is None:
                 return False
             sim = self.sim
-            event = sim.push_event(completion + self.latency_s,
-                                   self._arrive_cb, (payload,))
-            self._in_flight.append((completion, payload.size_bytes,
-                                    payload, event))
+            in_flight = self._in_flight
+            seq = sim.next_seq()
+            if not in_flight:
+                self._armed = sim.push_event(completion + self.latency_s,
+                                             self._arrive_cb, (), seq)
+            in_flight.append((completion, seq, payload))
             if on_wire is not None:
                 sim.push_event(completion, on_wire, ())
             return True
@@ -299,15 +331,39 @@ class DirectedLink:
         delay = self.latency_s
         if self._jitter_rng is not None:
             delay += self._jitter_rng.uniform(0.0, self.config.jitter_s)
-        self.sim.schedule(delay, self._arrive_cb, payload)
+        arrive = self._arrive_one_cb
+        if arrive is None:
+            arrive = self._arrive_one_cb = self._arrive
+        self.sim.schedule(delay, arrive, payload)
         if on_wire is not None:
             on_wire()
 
+    def _arrive_head(self):
+        """The armed head of the arrival queue arrives."""
+        in_flight = self._in_flight
+        payload = in_flight.popleft()[2]
+        if self._counted:
+            self._counted -= 1
+        else:
+            stats = self._stats
+            stats.sent += 1
+            stats.bytes_sent += payload.size_bytes
+        if in_flight:
+            # Re-arm before delivering, in the slot the next message was
+            # given at transmit time: whatever the delivery schedules
+            # sequences after it, exactly as if it had been pushed then.
+            completion, seq, _next = in_flight[0]
+            self._armed = self.sim.push_event(completion + self.latency_s,
+                                              self._arrive_cb, (), seq)
+        # _arrive, inlined: one call frame per hop on the hottest path.
+        if self.loss_hook is not None and self.loss_hook(self.dst):
+            self._stats.dropped_loss += 1
+            return
+        self._stats.delivered += 1
+        self._deliver(self.src, payload)
+
     def _arrive(self, payload):
-        # Counter draining is lazy (any read through ``stats`` drains); the
-        # arrival itself only keeps the deque bounded between reads.
-        if len(self._in_flight) >= self._DRAIN_BATCH:
-            self._drain_sent(self.sim.now)
+        """A two-event-path (or flushed) message arrives."""
         if self.loss_hook is not None and self.loss_hook(self.dst):
             self._stats.dropped_loss += 1
             return
@@ -325,34 +381,49 @@ class DirectedLink:
         self._deliver = deliver
 
     def _drain_sent(self, now):
-        """Count fast-path messages whose serialisation has completed."""
+        """Count queued messages whose serialisation has completed."""
         in_flight = self._in_flight
-        if not in_flight:
+        counted = self._counted
+        if counted == len(in_flight):
             return
         stats = self._stats
-        while in_flight and in_flight[0][0] <= now:
-            record = in_flight.popleft()
+        for completion, _seq, payload in islice(in_flight, counted, None):
+            if completion > now:
+                break
+            counted += 1
             stats.sent += 1
-            stats.bytes_sent += record[1]
+            stats.bytes_sent += payload.size_bytes
+        self._counted = counted
 
-    def _requeue_in_flight(self):
-        """Move not-yet-serialised fast-path messages onto the legacy path.
+    def _flush_arrivals(self):
+        """Flush the arrival queue into ordinary kernel events.
 
-        Called by :meth:`degrade`: those messages' arrival events were
-        computed from the pre-degradation latency, but they serialise
-        *after* the change and must observe the new parameters. Each gets
-        its pre-computed arrival cancelled and a serialisation-completion
-        event scheduled instead, which re-reads latency (and draws jitter)
-        at exactly the instant the legacy path would have.
+        Called by :meth:`degrade` before the parameters change. Messages
+        already serialised keep the arrival they were transmitted with:
+        each becomes its own event at ``completion + latency`` (the old
+        latency) in its original ``seq``, so later transmits under a
+        lower latency overtake them exactly where separately pushed
+        arrivals would be overtaken. Not-yet-serialised messages must observe the new
+        parameters: each gets a serialisation-completion event instead,
+        which re-reads latency (and draws jitter) at exactly the instant
+        the two-event path would have.
         """
         in_flight = self._in_flight
         if not in_flight:
             return
         sim = self.sim
-        self._drain_sent(sim.now)
-        while in_flight:
-            completion, _size, payload, event = in_flight.popleft()
-            sim.cancel(event)
-            # on_wire=None: the pacing event (if any) was scheduled
-            # separately at transmit time and still fires at ``completion``.
-            sim.schedule_at(completion, self._on_serialised, payload, None)
+        now = sim.now
+        self._drain_sent(now)
+        sim.cancel(self._armed)
+        latency = self.latency_s
+        arrive = self._arrive
+        for completion, seq, payload in in_flight:
+            if completion <= now:
+                sim.push_event(completion + latency, arrive, (payload,), seq)
+            else:
+                # on_wire=None: the pacing event (if any) was scheduled
+                # separately at transmit time and still fires at
+                # ``completion``.
+                sim.schedule_at(completion, self._on_serialised, payload, None)
+        in_flight.clear()
+        self._counted = 0

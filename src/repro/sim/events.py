@@ -133,6 +133,20 @@ class _QueueBase:
         self._seq += 1
         return seq
 
+    def next_seq(self):
+        """Allocate a push-order sequence number for a deferred push.
+
+        Same counter step as :meth:`reserve`, but the caller is pushing an
+        ordinary event late, not pinning an explicit tie-break slot: a
+        link's arrival queue allocates each message's seq at transmit
+        time and pushes it only when the message reaches the head. The
+        race auditor records :meth:`reserve` calls and deliberately not
+        this one, so such events stay push-ordered tie members.
+        """
+        seq = self._seq
+        self._seq += 1
+        return seq
+
     def recycle(self, event):
         """Return an executed pooled event to the freelist.
 

@@ -56,6 +56,12 @@ class Simulator:
         #: Bound straight to the queue's counter — it sits on the
         #: per-transmission hot path.
         self.reserve_slot = self._queue.reserve
+        #: Allocate the push-order sequence number of an event that will
+        #: be pushed later (via :attr:`push_event` with this ``seq``).
+        #: Unlike :attr:`reserve_slot` the auditor does not treat it as an
+        #: explicit tie-break slot: links use it to queue in-flight
+        #: messages and arm only the head's arrival event.
+        self.next_seq = self._queue.next_seq
         #: Hot-path scheduling: push an event with pre-packed ``args`` and
         #: an optional reserved ``seq``, skipping :meth:`schedule_at`'s
         #: past-check. Only for callers whose target time is arithmetically
@@ -83,7 +89,12 @@ class Simulator:
         harness tracks: scheduling is where the heap ops, closure tuples
         and callback frames are paid for, so reducing it is how the
         message hot path gets cheaper without changing what the model
-        computes (virtual-time servers, single-event link hops).
+        computes (virtual-time servers, per-link arrival queues).
+
+        A jitter-free link pushes a message's arrival only when the
+        message reaches the head of its in-flight queue, so arrivals
+        still queued behind the head when a run stops at its horizon are
+        never counted here.
         """
         return self._queue.scheduled_total
 
@@ -125,7 +136,12 @@ class Simulator:
             self._queue.note_cancelled()
 
     def pending(self):
-        """Number of live (non-cancelled) scheduled events."""
+        """Number of live (non-cancelled) scheduled events.
+
+        A jitter-free link with messages in flight counts as **one**
+        pending event however many messages it carries: only its head
+        arrival is armed in the queue (see :mod:`repro.net.channel`).
+        """
         return len(self._queue)
 
     def run(self, until=None, max_events=None):

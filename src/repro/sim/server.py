@@ -414,8 +414,8 @@ def legacy_servers():
     """Context manager: deployments built inside use event-per-job servers.
 
     Used by the A/B fingerprint harness to prove that the virtual-time
-    server (and the links' single-event fast path, which keys off
-    ``submit_timed`` and is therefore absent on legacy servers) produces
+    server (and the links' arrival queues, which key off
+    ``submit_timed`` and are therefore absent on legacy servers) produces
     bitwise-identical experiment reports.
     """
     global _legacy_mode

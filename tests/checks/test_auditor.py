@@ -161,3 +161,29 @@ def test_callback_label_uses_qualname():
             pass
 
     assert "Holder.method" in callback_label(Holder().method)
+
+
+def test_link_backlog_arrivals_stay_push_ordered_tie_members():
+    """A jitter-free link allocates each queued message's seq at transmit
+    time and pushes it only when the message reaches the head. Those
+    deferred arrivals are ordinary push-ordered events: two links whose
+    backlogs deliver at one instant must still form a hazard group."""
+    from repro.net.channel import DirectedLink, LinkConfig
+    from repro.net.message import RawPayload
+
+    auditor = RaceAuditor()
+    sim = Simulator(seed=0, auditor=auditor)
+    config = LinkConfig(per_message_s=0.001, per_byte_s=0.0)
+    links = [DirectedLink(sim, src, 9, 0.01, config, _noop)
+             for src in (0, 1)]
+    for link in links:
+        link.transmit_timed(RawPayload("first", 0))
+        link.transmit_timed(RawPayload("second", 0))   # queued behind
+    assert sim.pending() == 2                          # one armed per link
+    sim.run()
+    tie = 0.002 + 0.01                                 # both second arrivals
+    group = auditor.group_at(tie)
+    assert group is not None and len(group.members) == 2
+    assert not any(m.reserved for m in group.members)
+    assert group.is_hazard()
+    assert auditor.summary()["reserved_slots"] == 0

@@ -5,7 +5,7 @@ same-timestamp tie-breaking: heap sequence numbers are now assigned at
 submission rather than at the predecessor's completion, so two events
 landing on the same instant could, in principle, swap. This suite proves
 they do not where it matters: each committed figure scenario, run on the
-virtual-time servers (with the links' single-event fast path active) and
+virtual-time servers (with the links' arrival queues active) and
 on the event-per-job :class:`LegacyFifoServer` reference, must produce a
 bitwise-identical experiment report — every raw latency sample, every
 counter, hashed exactly (floats via ``float.hex``).

@@ -177,6 +177,44 @@ def test_stats_sent_drained_at_observation(sim):
     assert link.stats.sent == 2
     assert link.stats.bytes_sent == 30
     assert link.stats.delivered == 0  # still propagating
+    # A third message joins the queue behind two counted-but-unarrived
+    # ones: it counts at its own completion, and arrivals of the drained
+    # ones must not count them twice.
+    link.transmit(_payload("c", size=40))
+    sim.run(until=3.0)
+    assert (link.stats.sent, link.stats.bytes_sent) == (2, 30)
+    sim.run(until=3.5)
+    assert (link.stats.sent, link.stats.bytes_sent) == (3, 70)
+    sim.run(until=6.5)
+    assert (link.stats.sent, link.stats.delivered) == (3, 1)
+    sim.run()
+    stats = link.stats
+    assert (stats.sent, stats.bytes_sent, stats.delivered) == (3, 70, 3)
+
+
+def test_stats_sent_counts_undrained_arrivals_once(sim):
+    """Messages never observed mid-flight are counted as they arrive."""
+    link = _link(sim, lambda src, p: None,
+                 latency=5.0, per_message_s=1.0, per_byte_s=0.0)
+    link.transmit(_payload("a", size=10))
+    link.transmit(_payload("b", size=20))
+    sim.run(until=6.5)                  # a arrived, b serialised, unread
+    assert (link.stats.sent, link.stats.bytes_sent) == (2, 30)
+    sim.run()
+    assert (link.stats.sent, link.stats.delivered) == (2, 2)
+
+
+def test_link_with_backlog_is_one_pending_event(sim):
+    """Only the head of a jitter-free link's arrival queue is armed."""
+    link = _link(sim, lambda src, p: None,
+                 latency=0.01, per_message_s=0.001, per_byte_s=0.0)
+    for uid in "abcd":
+        link.transmit_timed(_payload(uid))
+    assert sim.pending() == 1
+    assert sim.events_scheduled == 1
+    sim.run()
+    assert sim.events_executed == 4
+    assert link.stats.delivered == 4
 
 
 def test_degrade_applies_to_not_yet_serialised_messages(sim):
@@ -206,3 +244,92 @@ def test_degrade_restore_roundtrip_with_in_flight(sim):
     sim.schedule_at(0.0005, link.restore)
     sim.run()
     assert seen == [("a", pytest.approx(0.011))]
+
+
+def _trace(link_cls, script):
+    """Run ``script(sim, link, log)`` on a fresh link; returns the log."""
+    from repro.sim.kernel import Simulator
+    sim = Simulator(seed=1)
+    log = []
+    link = link_cls(sim, 0, 1, 0.1, LinkConfig(per_message_s=0.001,
+                                               per_byte_s=0.0),
+                    lambda src, p: log.append((sim.now, p.uid)))
+    script(sim, link, log)
+    sim.run()
+    return log, link, sim
+
+
+def _overtake_script(sim, link, log):
+    # A probe sequenced before message a and one after it, both at a's
+    # pre-degradation arrival instant: a must fire between them.
+    arrival_a = 0.001 + 0.1
+    sim.schedule_at(arrival_a, lambda: log.append((sim.now, "probe-before")))
+    for uid in "abc":
+        link.transmit_timed(_payload(uid))
+    sim.schedule_at(arrival_a, lambda: log.append((sim.now, "probe-after")))
+
+    def degrade_then_send():
+        link.degrade(latency_factor=0.1)
+        link.transmit(_payload("d"))
+    sim.schedule_at(0.0025, degrade_then_send)
+
+
+def test_degrade_keeps_serialised_arrivals_and_their_seq():
+    """degrade() while messages are serialised but not yet arrived: they
+    keep their old-latency arrival and original tie-break position, the
+    not-yet-serialised message and later transmits take the new latency
+    and overtake them — exactly as one event per message would."""
+    from tests.net.reference_link import ReferenceLink
+
+    log, link, sim = _trace(DirectedLink, _overtake_script)
+    assert [uid for _t, uid in log] == [
+        "c", "d", "probe-before", "a", "probe-after", "b"]
+    assert log[0][0] == 0.003 + 0.1 * 0.1          # c: serialised after
+    assert log[3][0] == 0.001 + 0.1                 # a: old latency
+    assert log[5][0] == 0.002 + 0.1                 # b: old latency
+    assert link.stats.sent == 4 and link.stats.delivered == 4
+    reference_log, reference, reference_sim = _trace(ReferenceLink,
+                                                     _overtake_script)
+    assert log == reference_log
+    assert sim.events_executed == reference_sim.events_executed
+
+
+def test_abort_pending_chain_keeps_armed_head(sim):
+    """Aborting the queued tail of a chain leaves the in-service head's
+    armed arrival alone."""
+    seen = []
+    link = _link(sim, lambda src, p: seen.append((p.uid, sim.now)),
+                 latency=0.01, per_message_s=0.001, per_byte_s=0.0)
+    for uid in "abc":
+        link.transmit_chained(_payload(uid))
+    sim.schedule_at(0.0005, lambda: seen.append(
+        ("aborted", link.abort_pending_chain())))
+    sim.run()
+    assert seen == [("aborted", 2), ("a", pytest.approx(0.011))]
+    assert link.stats.sent == 1 and link.stats.delivered == 1
+
+
+def _abort_empties_script(sim, link, log):
+    # x goes out on the two-event path (jittered), then the link is
+    # restored and a chain queues behind it: the chain is the whole
+    # arrival queue, head armed, none of it in service.
+    link.degrade(extra_jitter_s=0.002, jitter_rng=sim.rng("jitter"))
+    link.transmit(_payload("x"))
+    link.restore()
+    link.transmit_chained(_payload("a"))
+    link.transmit_chained(_payload("b"))
+    sim.schedule_at(0.0005, lambda: log.append(
+        (sim.now, link.abort_pending_chain())))
+
+
+def test_abort_pending_chain_emptying_queue_cancels_armed_head():
+    from tests.net.reference_link import ReferenceLink
+
+    log, link, sim = _trace(DirectedLink, _abort_empties_script)
+    assert [entry[1] for entry in log] == [2, "x"]
+    assert sim.pending() == 0
+    assert link.stats.sent == 1 and link.stats.delivered == 1
+    reference_log, _reference, reference_sim = _trace(ReferenceLink,
+                                                      _abort_empties_script)
+    assert log == reference_log
+    assert sim.events_executed == reference_sim.events_executed
