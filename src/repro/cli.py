@@ -17,7 +17,8 @@ Exposes the experiment harness without writing Python:
 * ``perf``        — the simulator microbenchmarks (events/sec, scheduled
                     kernel events, peak memory, report fingerprints; see
                     benchmarks/perf for the committed baseline and gate);
-                    ``perf --profile`` runs a scenario under cProfile.
+                    ``perf --profile`` runs a scenario under cProfile
+                    and reports cyclic-GC time per generation.
 * ``trace``       — run a committed scenario with the deterministic
                     tracer armed: per-phase latency decomposition,
                     timeline summary, JSONL / Chrome-trace (Perfetto)
@@ -300,6 +301,10 @@ def cmd_perf(args):
         print("profile: {} (fingerprint {})".format(
             name, result["fingerprint"][:12]))
         print(result["stats_text"], end="")
+        print("cyclic GC: " + ", ".join(
+            "gen{} {}x {:.3f} s".format(generation, count, seconds)
+            for generation, (count, seconds) in enumerate(
+                zip(result["gc_collections"], result["gc_s"]))))
         if "peak_mem_kb" in result:
             print("peak traced memory: {:.0f} KiB".format(
                 result["peak_mem_kb"]))
@@ -507,7 +512,8 @@ def build_parser():
                         "BENCH_perf.json)")
     p.add_argument("--profile", action="store_true",
                    help="run one scenario under cProfile and print the "
-                        "hottest functions (default scenario: fig5_latency)")
+                        "hottest functions and the cyclic-GC collections "
+                        "per generation (default scenario: fig5_latency)")
     p.add_argument("--profile-memory", action="store_true",
                    help="with --profile, also trace allocations with "
                         "tracemalloc (slower)")

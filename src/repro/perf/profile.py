@@ -9,12 +9,19 @@ Profiling is observational: the simulated run is the byte-identical
 scenario the benchmarks pin, so the reported fingerprint doubles as a
 check that the profiled code path is the measured one.
 
+Cyclic garbage collection is reported next to the profile: cProfile
+does not attribute it to any function, yet at N=1000 a gen-2 collection
+walks every GC-tracked object in flight. A ``gc.callbacks`` hook counts
+collections and their wall time per generation.
+
 Exposed on the CLI as ``repro perf --profile``.
 """
 
 import cProfile
+import gc
 import io
 import pstats
+import time
 
 
 def _scenario_config(name):
@@ -50,6 +57,24 @@ def _top_functions(stats, limit):
     return rows
 
 
+class _GcTimer:
+    """``gc.callbacks`` hook: collections and seconds per generation."""
+
+    def __init__(self):
+        self.collections = [0] * len(gc.get_count())
+        self.seconds = [0.0] * len(gc.get_count())
+        self._started = None
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            generation = info["generation"]
+            self.collections[generation] += 1
+            self.seconds[generation] += time.perf_counter() - self._started
+            self._started = None
+
+
 def profile_scenario(name, sort="cumulative", limit=25, memory=False):
     """Profile one committed perf scenario under ``cProfile``.
 
@@ -68,8 +93,10 @@ def profile_scenario(name, sort="cumulative", limit=25, memory=False):
 
     Returns a dict: ``scenario``, ``wall_s``, ``fingerprint`` (of the
     profiled run's report — must match the committed baseline),
-    ``top_functions``, ``stats_text``, and with ``memory`` also
-    ``peak_mem_kb`` and ``top_allocations``.
+    ``top_functions``, ``stats_text``, ``gc_collections`` and ``gc_s``
+    (cyclic-GC collections and wall seconds, one entry per generation,
+    youngest first), and with ``memory`` also ``peak_mem_kb`` and
+    ``top_allocations``.
     """
     from repro.analysis.fingerprint import report_fingerprint
     from repro.runtime.runner import run_experiment
@@ -82,10 +109,15 @@ def profile_scenario(name, sort="cumulative", limit=25, memory=False):
         import tracemalloc
 
         tracemalloc.start()
+    gc_timer = _GcTimer()
+    gc.callbacks.append(gc_timer)
     profiler = cProfile.Profile()
-    profiler.enable()
-    report = run_experiment(config)
-    profiler.disable()
+    try:
+        profiler.enable()
+        report = run_experiment(config)
+        profiler.disable()
+    finally:
+        gc.callbacks.remove(gc_timer)
     if memory:
         import tracemalloc
 
@@ -101,6 +133,8 @@ def profile_scenario(name, sort="cumulative", limit=25, memory=False):
     result["wall_s"] = sum(
         entry[1][2] for entry in stats.stats.items())
     result["top_functions"] = _top_functions(stats, limit)
+    result["gc_collections"] = gc_timer.collections
+    result["gc_s"] = gc_timer.seconds
     result["stats_text"] = buffer.getvalue()
 
     if snapshot is not None:

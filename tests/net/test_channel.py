@@ -333,3 +333,146 @@ def test_abort_pending_chain_emptying_queue_cancels_armed_head():
                                                       _abort_empties_script)
     assert log == reference_log
     assert sim.events_executed == reference_sim.events_executed
+
+
+def test_arrival_queue_owns_no_object_per_message(sim):
+    """The arrival queue is three columns, not one record per message:
+    with a 20k-message chain serialised and still propagating, what the
+    link holds for it stays within 32 B per message. The run stops once
+    the wire is idle and the transmission server is drained, so its job
+    records are gone; a full collection empties the interpreter's
+    free lists, so every byte still held is the link's."""
+    import gc
+    import tracemalloc
+
+    count = 20_000
+    link = _link(sim, lambda src, p: None,
+                 latency=1000.0, per_message_s=0.001, per_byte_s=0.0)
+    payloads = [_payload("m{}".format(i)) for i in range(count)]
+    exclude = [tracemalloc.Filter(False, tracemalloc.__file__)]
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.take_snapshot().filter_traces(exclude)
+        for payload in payloads:
+            link.transmit_chained(payload)
+        sim.run(until=count * 0.001 + 1.0)
+        assert not link.busy
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(exclude)
+    finally:
+        tracemalloc.stop()
+    assert link.stats.delivered == 0
+    grown = sum(stat.size_diff
+                for stat in after.compare_to(before, "filename"))
+    assert grown / count <= 32
+    sim.run()
+    assert link.stats.delivered == count
+
+
+def _columns(link):
+    """(column length, live entries) of a link's arrival queue."""
+    length = len(link._payloads)
+    assert len(link._completions) == len(link._seqs) == length
+    return length, length - link._head
+
+
+@pytest.mark.parametrize("backlog", [8, 2000])
+def test_backlogged_link_columns_stay_bounded(sim, backlog):
+    """A link that never empties is only ever compacted: its dead prefix
+    stays within max(live entries, _COMPACT_AT), so with a backlog under
+    the threshold the columns never exceed the live entries plus the
+    threshold, however many messages pass through."""
+    from repro.net.channel import _COMPACT_AT
+
+    refills = 6000
+    sizes = []
+
+    def deliver(src, payload):
+        length, live = _columns(link)
+        sizes.append(length)
+        assert length - live <= max(live, _COMPACT_AT)
+        if len(sizes) <= refills:
+            link.transmit_chained(_payload(size=10))
+
+    link = _link(sim, deliver, latency=0.01, per_message_s=0.001,
+                 per_byte_s=0.0)
+    for _ in range(backlog):
+        link.transmit_chained(_payload(size=10))
+    sim.run()
+    assert link.stats.delivered == backlog + refills
+    assert max(sizes) <= backlog + max(backlog, _COMPACT_AT)
+    if backlog < _COMPACT_AT:
+        assert max(sizes) < backlog + _COMPACT_AT
+    # Emptied at the end: nothing armed, and no more dead entries than
+    # one compaction threshold (their payloads already released).
+    length, live = _columns(link)
+    assert live == 0 and length < _COMPACT_AT and link._armed is None
+    assert link._payloads == [None] * length
+
+
+def _compaction_trace(link_cls):
+    """A 100-message backlog whose head crosses the compaction point
+    (head 50 of 100) between stats reads, then an abort, a degrade with
+    messages in flight, a restore and a second chain."""
+    from repro.sim.kernel import Simulator
+
+    sim = Simulator(seed=1)
+    log = []
+    lengths = []
+    link = link_cls(sim, 0, 1, 0.1, LinkConfig(per_message_s=0.01,
+                                               per_byte_s=0.0),
+                    lambda src, p: log.append(("deliver", sim.now, src,
+                                               p.uid)))
+
+    def read_stats():
+        stats = link.stats
+        log.append(("stats", sim.now, stats.sent, stats.bytes_sent,
+                    stats.delivered, stats.dropped_queue,
+                    stats.dropped_loss))
+        if link_cls is DirectedLink and link._payloads:
+            lengths.append((sim.now, len(link._payloads)))
+
+    def chain(prefix, count):
+        for i in range(count):
+            link.transmit_chained(_payload("{}{}".format(prefix, i),
+                                           size=10 + i))
+
+    def timed(prefix, count):
+        for i in range(count):
+            link.transmit_timed(_payload("{}{}".format(prefix, i), size=7))
+
+    def abort():
+        log.append(("abort", sim.now, link.abort_pending_chain()))
+
+    sim.schedule_at(0.0, chain, "a", 100)
+    for step in range(1, 160):
+        sim.schedule_at(step * 0.013, read_stats)
+    sim.schedule_at(0.705, abort)
+    sim.schedule_at(0.75, link.degrade, 0.5)
+    sim.schedule_at(0.76, timed, "t", 5)
+    sim.schedule_at(0.77, link.restore)
+    sim.schedule_at(0.8, chain, "b", 70)
+    sim.schedule_at(1.3, abort)
+    sim.schedule_at(1.35, link.degrade, 2.0)
+    sim.schedule_at(1.6, abort)
+    sim.run()
+    read_stats()
+    return log, lengths, sim.events_executed
+
+
+def test_arrival_queue_compaction_matches_reference():
+    """Compaction rewrites the column indices (head, counted prefix)
+    mid-backlog; deliveries, abort results and LinkStats must still match
+    the one-event-per-message reference at every step."""
+    from tests.net.reference_link import ReferenceLink
+
+    log, lengths, executed = _compaction_trace(DirectedLink)
+    reference_log, _lengths, reference_executed = _compaction_trace(
+        ReferenceLink)
+    assert log == reference_log
+    assert executed == reference_executed
+    # The head did cross the compaction point with the backlog still
+    # queued, and the aborts withdrew part of both chains.
+    assert any(0 < length < 100 for time, length in lengths if time < 0.7)
+    assert [entry[2] for entry in log if entry[0] == "abort"] == [29, 21, 0]

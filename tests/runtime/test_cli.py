@@ -170,6 +170,35 @@ def test_perf_command_rejects_unknown_scenario(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+def test_perf_profile_reports_gc_per_generation(capsys):
+    """--profile adds cyclic-GC collections and seconds per generation
+    without changing what the profiled run computes."""
+    import gc
+    import json
+    import pathlib
+
+    from repro.perf import profile_scenario
+
+    baseline = json.loads((pathlib.Path(__file__).parents[2] / "benchmarks"
+                           / "perf" / "BENCH_perf.json").read_text())
+    callbacks = list(gc.callbacks)
+    result = profile_scenario("fig7_overlay", limit=5)
+    assert gc.callbacks == callbacks
+    assert result["fingerprint"] == (
+        baseline["scenarios"]["fig7_overlay"]["fingerprint"])
+    generations = len(gc.get_count())
+    assert len(result["gc_collections"]) == generations
+    assert len(result["gc_s"]) == generations
+    assert all(count >= 0 for count in result["gc_collections"])
+    assert all(seconds >= 0.0 for seconds in result["gc_s"])
+    assert sum(result["gc_collections"]) > 0
+
+    assert main(["perf", "--profile", "--scenario", "fig7_overlay"]) == 0
+    out = capsys.readouterr().out
+    assert "cyclic GC: gen0 " in out
+    assert ", gen2 " in out
+
+
 def test_perf_queues_command(capsys):
     assert main(["perf", "--queues", "--repeats", "1"]) == 0
     out = capsys.readouterr().out
