@@ -5,7 +5,6 @@ Usage (from the repo root, with ``PYTHONPATH=src``)::
     python -m benchmarks.perf                 # measure, compare to baseline
     python -m benchmarks.perf --update        # regenerate BENCH_perf.json
     python -m benchmarks.perf --speedup       # Fig. 6 grid, serial vs pool
-    python -m benchmarks.perf --queues        # isolated queue-backend mixes
 
 ``--speedup`` exits non-zero if the parallel grid is not bitwise-identical
 to the serial one; with ``--update`` its result is stored in the
@@ -26,20 +25,11 @@ def main(argv=None):
     parser.add_argument("--speedup", action="store_true",
                         help="measure the parallel loss_grid speedup "
                              "instead of the events/sec scenarios")
-    parser.add_argument("--queues", action="store_true",
-                        help="run the isolated event-queue microbenchmarks "
-                             "(push/pop/cancel mixes, both backends)")
     parser.add_argument("--workers", type=int, default=4,
                         help="pool size for --speedup (default 4)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="repeats per scenario; best wall-clock wins")
     args = parser.parse_args(argv)
-
-    if args.queues:
-        from repro.perf import format_queue_mixes, measure_queue_mixes
-
-        print(format_queue_mixes(measure_queue_mixes(repeats=args.repeats)))
-        return 0
 
     if args.speedup:
         result = harness.measure_speedup(workers=args.workers)
@@ -51,8 +41,6 @@ def main(argv=None):
         return 0 if result["identical"] else 1
 
     payload = harness.measure_all(repeats=args.repeats)
-    payload["legacy_comparison"] = harness.measure_legacy_comparison(
-        repeats=args.repeats)
     harness.write_latest(payload)
     if args.update:
         baseline = harness.load_baseline()
@@ -73,11 +61,6 @@ def main(argv=None):
                      / baseline["scenarios"][name]["events_per_sec"])
             line += "  ({:+.0%} vs baseline)".format(ratio - 1.0)
         print(line)
-    comparison = payload["legacy_comparison"]
-    print("vs event-per-job servers: {:.1%} fewer scheduled events (fig3), "
-          "{}x wall-clock (fig8)".format(
-              comparison["fig3_events_scheduled_reduction"],
-              comparison["fig8_speedup"]))
     return 0
 
 

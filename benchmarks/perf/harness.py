@@ -7,10 +7,7 @@ file and the ``latest`` dump CI uploads as an artifact.
 
 Per scenario the payload records ``events``, ``events_scheduled``,
 ``wall_s``, ``events_per_sec``, ``peak_mem_kb`` and the exact report
-``fingerprint`` — see :mod:`repro.perf.measure` for definitions. The
-``legacy_comparison`` section pins the virtual-time server's advantage
-over the event-per-job reference (scheduled-event reduction on fig3,
-wall-clock speedup on fig8).
+``fingerprint`` — see :mod:`repro.perf.measure` for definitions.
 """
 
 import json
@@ -21,7 +18,6 @@ from repro.perf import (          # noqa: F401  (re-exported for the gate)
     SCENARIOS,
     host_info,
     measure_all,
-    measure_legacy_comparison,
     measure_scenario,
     measure_speedup,
 )

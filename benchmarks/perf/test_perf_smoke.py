@@ -18,12 +18,14 @@ Four checks per run:
   gate keeps a regression from quietly re-inflating the per-node state.
   Peaks are allocation high-water marks, machine-independent up to
   allocator details, so the tolerance is tighter than wall-clock's.
-* **Virtual-time advantage** — the fast path must keep beating the
-  event-per-job reference servers: ≥ 55% fewer scheduled kernel events on
-  fig3_workload (machine-independent; measured 61% after the batched
-  gossip rounds) and ≥ 1.2x wall-clock on fig8_saturation (measured
-  fresh, both sides on this host — kept loose because wall-clock ratios
-  are noisy on shared CI hosts).
+* **Scheduled-event reduction** — the virtual-time servers, batched
+  gossip rounds and per-link arrival queues must keep scheduling far
+  fewer kernel events than the event-per-job servers they replaced. That
+  design's counts are machine-independent, so they are stored here as
+  constants (``EVENT_PER_JOB_SCHEDULED``), and each scenario's freshly
+  measured ``events_scheduled`` must stay at least its floor below them:
+  fig3_workload ≥ 55% (measured 61.2%), fig8_saturation ≥ 40% (measured
+  43.9%).
 
 Regenerate the baseline deliberately with ``REPRO_PERF_UPDATE=1`` or
 ``python -m benchmarks.perf --update``.
@@ -38,20 +40,22 @@ TOLERANCE = float(os.environ.get("REPRO_PERF_TOLERANCE", "0.8"))
 #: Multiple of the baseline tracemalloc peak a scenario may reach.
 MEM_TOLERANCE = float(os.environ.get("REPRO_PERF_MEM_TOLERANCE", "1.3"))
 REPEATS = int(os.environ.get("REPRO_PERF_REPEATS", "3"))
-#: Interleaved VT/legacy pairs for the fig8 wall-clock comparison. More
-#: than REPEATS because the speedup gate compares two minima, and each
-#: must converge through host noise.
-COMPARISON_REPEATS = int(os.environ.get("REPRO_PERF_COMPARISON_REPEATS", "4"))
-#: Acceptance floors for the virtual-time servers vs the legacy reference.
-EVENT_REDUCTION_FLOOR = float(
-    os.environ.get("REPRO_PERF_EVENT_REDUCTION_FLOOR", "0.55"))
-SPEEDUP_FLOOR = float(os.environ.get("REPRO_PERF_SPEEDUP_FLOOR", "1.2"))
+#: Kernel events scheduled by the event-per-job servers (one event per
+#: job, one arrival event per message) on the same scenarios.
+EVENT_PER_JOB_SCHEDULED = {
+    "fig3_workload": 282_561,
+    "fig8_saturation": 857_984,
+}
+#: Minimum fraction of those events the current simulator must save.
+EVENT_REDUCTION_FLOOR = {
+    "fig3_workload": float(
+        os.environ.get("REPRO_PERF_EVENT_REDUCTION_FLOOR", "0.55")),
+    "fig8_saturation": 0.40,
+}
 
 
 def test_perf_smoke():
     payload = harness.measure_all(repeats=REPEATS)
-    payload["legacy_comparison"] = comparison = (
-        harness.measure_legacy_comparison(repeats=COMPARISON_REPEATS))
     harness.write_latest(payload)
 
     if os.environ.get("REPRO_PERF_UPDATE"):
@@ -85,13 +89,11 @@ def test_perf_smoke():
                 name, measured["peak_mem_kb"], ceiling,
                 MEM_TOLERANCE, expected["peak_mem_kb"]))
 
-    reduction = comparison["fig3_events_scheduled_reduction"]
-    assert reduction >= EVENT_REDUCTION_FLOOR, (
-        "virtual-time servers schedule only {:.1%} fewer kernel events than "
-        "the event-per-job reference on fig3_workload (floor {:.0%})".format(
-            reduction, EVENT_REDUCTION_FLOOR))
-    speedup = comparison["fig8_speedup"]
-    assert speedup >= SPEEDUP_FLOOR, (
-        "virtual-time servers are only {}x faster than the event-per-job "
-        "reference on fig8_saturation (floor {}x)".format(
-            speedup, SPEEDUP_FLOOR))
+    for name, reference in sorted(EVENT_PER_JOB_SCHEDULED.items()):
+        scheduled = payload["scenarios"][name]["events_scheduled"]
+        reduction = 1.0 - scheduled / reference
+        floor = EVENT_REDUCTION_FLOOR[name]
+        assert reduction >= floor, (
+            "scenario {!r} scheduled {} kernel events, only {:.1%} fewer "
+            "than the event-per-job servers' {} (floor {:.0%})".format(
+                name, scheduled, reduction, reference, floor))

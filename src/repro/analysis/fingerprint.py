@@ -9,9 +9,8 @@ mantissa participates — and hashed. Two runs are behaviourally identical
 iff their fingerprints match; there is no tolerance, because the
 simulator is deterministic and the optimisations are meant to be exact.
 
-Used by the A/B suite (``tests/integration/test_ab_fingerprint.py``),
-which compares virtual-time against :class:`LegacyFifoServer` deployments,
-and by the perf-smoke gate (``benchmarks/perf``), which pins each
+Used by the fingerprint pins (``tests/integration/test_ab_fingerprint.py``)
+and by the perf-smoke gate (``benchmarks/perf``), which pin each
 committed scenario's fingerprint so a perf change that silently alters
 results fails CI even when it is fast.
 """

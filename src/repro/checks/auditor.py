@@ -27,9 +27,12 @@ simulation behaviour:
   traces. A rolling SHA-256 digest of the trace is always maintained;
   the full entry list is kept only when ``capture=True``.
 
-The auditor is strictly opt-in: an unattached simulator binds the plain
-:class:`EventQueue` and :func:`make_stream`, so the audited machinery is
-never on the hot path (BENCH_perf gates this).
+An attached simulator builds an :class:`AuditQueue`: the simulator's one
+event heap, :class:`EventQueue`, with a recording hook on each
+``reserve``/``push``/``pop``, so the audited run pops events in exactly the
+order an unaudited one does. The auditor is strictly opt-in: an unattached
+simulator binds the plain :class:`EventQueue` and :func:`make_stream`, so
+the audited machinery is never on the hot path (BENCH_perf gates this).
 
 :mod:`repro.checks.race` builds the double-run ``repro check --race``
 harness on top of this module.
@@ -132,69 +135,40 @@ class TieGroup:
         }
 
 
-_AUDIT_CLASSES = {}
+class AuditQueue(EventQueue):
+    """The event heap with the auditor's callbacks on every operation.
 
-
-def make_audit_queue_class(backend):
-    """Build (and cache) an auditing subclass of a queue backend.
-
-    Both queue backends share the ``reserve``/``push``/``push_pooled``/
-    ``pop`` surface, so one dynamically-created single-inheritance
-    subclass per backend wraps them with the auditor callbacks — a
-    static mixin would fight ``__slots__`` layouts under multiple
-    inheritance. Audited runs disable freelist recycling (``push_pooled``
-    delegates to ``push``): the auditor keys pending-event provenance by
-    sequence number and keeps event identity out of the trace, but a
-    recycled record mid-inspection would make ``capture=True`` debugging
+    Audited runs disable freelist recycling (``push_pooled`` delegates to
+    ``push``): the auditor keys pending-event provenance by sequence
+    number and keeps event identity out of the trace, but a recycled
+    record mid-inspection would make ``capture=True`` debugging
     needlessly confusing for zero audit-mode perf benefit.
     """
-    cls = _AUDIT_CLASSES.get(backend)
-    if cls is not None:
-        return cls
+
+    __slots__ = ("_auditor",)
 
     def __init__(self, auditor):
-        backend.__init__(self)
+        EventQueue.__init__(self)
         self._auditor = auditor
 
     def reserve(self):
-        seq = backend.reserve(self)
+        seq = EventQueue.reserve(self)
         self._auditor.note_reserved(seq)
         return seq
 
     def push(self, time, fn, args, seq=None):
-        event = backend.push(self, time, fn, args, seq)
+        event = EventQueue.push(self, time, fn, args, seq)
         self._auditor.note_push(event, seq is not None)
         return event
 
     def push_pooled(self, time, fn, args, seq=None):
-        return push(self, time, fn, args, seq)
+        return self.push(time, fn, args, seq)
 
     def pop(self, limit=None):
-        event = backend.pop(self, limit)
+        event = EventQueue.pop(self, limit)
         if event is not None:
             self._auditor.note_exec(event)
         return event
-
-    cls = type(
-        "Audit" + backend.__name__,
-        (backend,),
-        {
-            "__slots__": ("_auditor",),
-            "__init__": __init__,
-            "reserve": reserve,
-            "push": push,
-            "push_pooled": push_pooled,
-            "pop": pop,
-            "__module__": __name__,
-        },
-    )
-    _AUDIT_CLASSES[backend] = cls
-    return cls
-
-
-#: Auditing wrapper over the default heap backend — kept under its
-#: historical name for callers that instantiate it directly.
-AuditQueue = make_audit_queue_class(EventQueue)
 
 
 class RaceAuditor:
@@ -223,10 +197,8 @@ class RaceAuditor:
 
     # -- simulator integration (called by Simulator.__init__) --------------
 
-    def make_queue(self, backend=None):
-        if backend is None:
-            backend = EventQueue
-        return make_audit_queue_class(backend)(self)
+    def make_queue(self):
+        return AuditQueue(self)
 
     def make_stream(self, root_seed, name):
         stream = CountingStream(root_seed, name)

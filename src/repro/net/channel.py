@@ -15,8 +15,9 @@ discarded, reproducing the paper's receiver-side fault injection (§4.5).
 Per-link arrival queues
 -----------------------
 
-With a virtual-time transmission server the serialisation completion of an
-accepted message is known at submit time. On a jitter-free link (the
+The transmission server is a virtual-time
+:class:`~repro.sim.server.FifoServer`, so the serialisation completion of
+an accepted message is known at submit time. On a jitter-free link (the
 default configuration) every in-flight message therefore waits in the
 link's own FIFO: completions come from the link's FIFO server and never
 decrease, the latency is constant, and each ``seq`` is allocated at
@@ -54,7 +55,7 @@ from array import array
 from bisect import bisect_right
 from itertools import islice
 
-from repro.sim.server import make_server
+from repro.sim.server import FifoServer
 
 #: An arrival queue deletes its dead prefix once that holds this many
 #: entries and at least as many as the live part (the second condition
@@ -130,13 +131,12 @@ class DirectedLink:
         self.latency_s = latency_s
         self.config = config
         self._stats = LinkStats()
-        self._server = make_server(sim, capacity=config.queue_capacity,
-                                   on_drop=self._on_queue_drop)
-        # The arrival queue needs the completion time at submit; a server
-        # without submit_timed (the legacy reference) disables it.
-        self._submit_timed = getattr(self._server, "submit_timed", None)
-        self._submit_fast = getattr(self._server, "submit_fast", None)
-        self._submit_chain = getattr(self._server, "submit_chain", None)
+        server = self._server = FifoServer(sim, config.queue_capacity,
+                                           self._on_queue_drop)
+        # Bound once: each transmit path calls one of these per message.
+        self._submit_timed = server.submit_timed
+        self._submit_fast = server.submit_fast
+        self._submit_chain = server.submit_chain
         # One bound method reused for every arming: creating
         # `self._arrive_head` per arrival is a measurable share of
         # hot-path allocation.
@@ -209,7 +209,7 @@ class DirectedLink:
     @property
     def fast_path(self):
         """Whether :meth:`transmit_timed` will queue the arrival on the link."""
-        return self._submit_fast is not None and self._jitter_rng is None
+        return self._jitter_rng is None
 
     @property
     def busy(self):
@@ -227,20 +227,18 @@ class DirectedLink:
         first: when the link is jitter-free, the payload is committed to
         the wire, appended to the link's arrival queue (arming a kernel
         event only if it is the head), and the instant the link frees is
-        returned. Returns ``None`` when the fast path is unavailable
-        (jittered link, or an event-per-job legacy server) — the caller
-        must then fall back to :meth:`transmit`.
+        returned. Returns ``None`` on a jittered link, where the fast path
+        is unavailable — the caller must then fall back to :meth:`transmit`.
 
         Callers are expected to transmit only while the link is idle, so a
         queue-full drop cannot normally occur here; if it does, the drop
         is counted and the current time is returned (the link is free).
         """
-        submit_fast = self._submit_fast
-        if submit_fast is None or self._jitter_rng is not None:
+        if self._jitter_rng is not None:
             return None
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
-        completion = submit_fast(service, payload)
+        completion = self._submit_fast(service, payload)
         sim = self.sim
         if completion is None:
             return sim.now
@@ -300,15 +298,13 @@ class DirectedLink:
         :meth:`degrade` are no longer in the arrival queue and are left
         alone. Returns the number of withdrawn messages.
         """
-        server = self._server
-        abort = getattr(server, "abort_queued", None)
-        if abort is None or self._armed is None:
-            # No abort hook (legacy server), or a mid-round degrade moved
-            # the chain onto the two-event serialisation path (emptying
-            # the arrival queue): those messages' serialisation events are
-            # armed and will fire, so their server jobs must stand.
+        if self._armed is None:
+            # A mid-round degrade moved the chain onto the two-event
+            # serialisation path (emptying the arrival queue): those
+            # messages' serialisation events are armed and will fire, so
+            # their server jobs must stand.
             return 0
-        removed, busy_until = abort(self.sim.now)
+        removed, busy_until = self._server.abort_queued(self.sim.now)
         if removed:
             # Withdrawn jobs had not started, so none was counted as sent;
             # they are the tail whose completion lies past busy_until.
@@ -333,13 +329,12 @@ class DirectedLink:
         """
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
-        submit_timed = self._submit_timed
-        if submit_timed is not None and self._jitter_rng is None:
+        if self._jitter_rng is None:
             # Fast path: the serialisation completion is arithmetic, so the
             # message joins the arrival queue (plus a pacing wake-up when
             # the sender asked for one). ``args`` carry the payload and
             # on_wire to _on_queue_drop.
-            completion = submit_timed(service, None, payload, on_wire)
+            completion = self._submit_timed(service, None, payload, on_wire)
             if completion is None:
                 return False
             sim = self.sim

@@ -11,23 +11,18 @@ from repro.perf.measure import (
     compare_payloads,
     host_info,
     measure_all,
-    measure_legacy_comparison,
     measure_scenario,
     measure_speedup,
 )
 from repro.perf.profile import profile_scenario
-from repro.perf.queuebench import format_queue_mixes, measure_queue_mixes
 
 __all__ = [
     "OVERLAY_SEED",
     "PERF_SCENARIOS",
     "SCENARIOS",
     "compare_payloads",
-    "format_queue_mixes",
     "host_info",
     "measure_all",
-    "measure_legacy_comparison",
-    "measure_queue_mixes",
     "measure_scenario",
     "measure_speedup",
     "profile_scenario",

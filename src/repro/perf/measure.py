@@ -14,11 +14,6 @@ For every scenario we record
   (:func:`repro.analysis.fingerprint.report_fingerprint`); the CI gate
   pins it so a perf change that silently alters results fails even when
   it is fast.
-
-:func:`measure_legacy_comparison` additionally runs fig3/fig8 on the
-event-per-job :class:`~repro.sim.server.LegacyFifoServer` deployments and
-reports the scheduled-event reduction and wall-clock speedup the ISSUE's
-acceptance criteria demand (≥ 25% and ≥ 1.2x).
 """
 
 import gc
@@ -30,7 +25,6 @@ import tracemalloc
 from repro.analysis.fingerprint import report_fingerprint
 from repro.perf.scenarios import PERF_SCENARIOS, SCENARIOS, _config
 from repro.runtime.runner import run_deployment
-from repro.sim.server import legacy_servers
 
 
 def host_info():
@@ -111,45 +105,6 @@ def measure_all(repeats=3):
                 name, repeats=min(repeats, PERF_REPEATS.get(name, repeats)))
             for name in names
         },
-    }
-
-
-def measure_legacy_comparison(repeats=3):
-    """Virtual-time vs event-per-job servers on the acceptance scenarios.
-
-    fig3_workload's scheduled-event reduction is machine-independent; the
-    fig8_saturation speedup is wall-clock, best-of-``repeats`` on both
-    sides. The two implementations are timed in *interleaved pairs* so
-    slow drift in host load degrades both sides equally, and the speedup
-    is the ratio of the per-side minima: wall-clock noise on a shared
-    host is additive and bursty, so each side's minimum converges to its
-    noise-free wall and the ratio of minima to the true speedup.
-    """
-    fig3 = SCENARIOS["fig3_workload"]
-    deployment, _report = run_deployment(fig3())
-    fig3_scheduled = deployment.sim.events_scheduled
-    with legacy_servers():
-        deployment, _report = run_deployment(fig3())
-        fig3_scheduled_legacy = deployment.sim.events_scheduled
-
-    fig8 = SCENARIOS["fig8_saturation"]
-    fig8_wall = fig8_wall_legacy = None
-    for _ in range(repeats):
-        _deployment, _report, wall = _timed_run(fig8())
-        fig8_wall = wall if fig8_wall is None else min(fig8_wall, wall)
-        with legacy_servers():
-            _deployment, _report, wall_legacy = _timed_run(fig8())
-        fig8_wall_legacy = (wall_legacy if fig8_wall_legacy is None
-                            else min(fig8_wall_legacy, wall_legacy))
-
-    return {
-        "fig3_events_scheduled": fig3_scheduled,
-        "fig3_events_scheduled_legacy": fig3_scheduled_legacy,
-        "fig3_events_scheduled_reduction": round(
-            1.0 - fig3_scheduled / fig3_scheduled_legacy, 4),
-        "fig8_wall_s": round(fig8_wall, 4),
-        "fig8_wall_s_legacy": round(fig8_wall_legacy, 4),
-        "fig8_speedup": round(fig8_wall_legacy / fig8_wall, 2),
     }
 
 

@@ -5,9 +5,9 @@ figures (workload sweep cell, lossy grid cell, overlay run, run at
 saturation). Because the simulator is deterministic, a scenario always
 executes exactly the same events and produces a bit-identical report;
 only the wall-clock varies with the machine and the hot-path
-implementation. These five are also the A/B fingerprint corpus: the
-equivalence suite re-runs them on the event-per-job reference servers
-and demands identical report fingerprints.
+implementation. These five are also the fingerprint corpus: the tier-1
+suite pins each one's report fingerprint to the value committed in
+``benchmarks/perf/BENCH_perf.json``.
 """
 
 from repro.membership import MembershipConfig
@@ -78,9 +78,9 @@ def _gossip_n1000():
 
 
 #: Large-N scenarios benchmarked (and baselined in BENCH_perf.json) like
-#: the figure scenarios, but kept out of :data:`SCENARIOS` so the A/B
-#: reference-server suite does not re-run n=1000 deployments on every CI
-#: job. The race audit accepts them by name (CI audits gossip_n1000).
+#: the figure scenarios, but kept out of :data:`SCENARIOS` so the tier-1
+#: fingerprint pins do not run n=1000 deployments on every CI job. The
+#: race audit accepts them by name (CI audits gossip_n1000).
 PERF_SCENARIOS = {
     "fig3_n100": _fig3_n100,
     "gossip_n1000": _gossip_n1000,

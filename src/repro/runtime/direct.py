@@ -9,7 +9,7 @@ difference between setups is communication structure, not bookkeeping.
 """
 
 from repro.sim.actors import Actor
-from repro.sim.server import make_server
+from repro.sim.server import FifoServer
 
 
 class DirectStats:
@@ -32,7 +32,7 @@ class DirectNode(Actor):
         self.transport = transport
         self.costs = costs
         self.deliver = deliver
-        self.cpu = cpu or make_server(sim)
+        self.cpu = cpu or FifoServer(sim)
         self.stats = DirectStats()
         self.alive = True
         transport.on_receive(self._on_link_receive)

@@ -20,15 +20,7 @@ Public API:
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.actors import Actor
-from repro.sim.server import (
-    FifoServer,
-    LegacyFifoServer,
-    ServerStats,
-    legacy_servers,
-    make_server,
-    noop,
-    using_legacy_servers,
-)
+from repro.sim.server import FifoServer, ServerStats, noop
 from repro.sim.random import stream_seed
 
 __all__ = [
@@ -37,11 +29,7 @@ __all__ = [
     "Simulator",
     "Actor",
     "FifoServer",
-    "LegacyFifoServer",
     "ServerStats",
-    "legacy_servers",
-    "make_server",
     "noop",
-    "using_legacy_servers",
     "stream_seed",
 ]

@@ -1,34 +1,22 @@
-"""Event records and the simulator's pending-event queue backends.
+"""Event records and the simulator's pending-event queue.
 
 Events are ordered by ``(time, seq)`` where ``seq`` is a monotonically
 increasing sequence number assigned at scheduling time. Two events scheduled
 for the same instant therefore fire in scheduling order, which keeps runs
 deterministic without relying on heap tie-breaking behaviour.
 
-Two interchangeable backends implement that contract:
+:class:`EventQueue` is one binary heap. Entries are ``(time, seq, event)``
+tuples so the heap sifts compare C-level tuples — ``(time, seq)`` is
+unique, so the event object itself is never compared.
 
-:class:`EventQueue`
-    One binary heap. Entries are ``(time, seq, event)`` tuples so the
-    heap sifts compare C-level tuples — ``(time, seq)`` is unique, so
-    the event object itself is never compared.
-
-:class:`TimingWheelQueue`
-    A calendar queue / bucketed timing wheel. Time is partitioned into
-    fixed-width buckets held in a dict (sparse — no fixed horizon);
-    only the bucket currently being drained is kept heap-ordered, so an
-    insert into a future bucket is an O(1) list append instead of an
-    O(log n) sift. Most simulator events are short-horizon link
-    arrivals that land a few buckets ahead, which is exactly the
-    distribution a wheel wins on.
-
-Cancellation is lazy on both: :meth:`Event.cancel` marks the event and the
-queue skips cancelled entries when popping. This is O(1) per cancellation
-and avoids the cost of re-heapifying. Lazy cancellation alone, however,
-lets cancelled shells pile up until their timestamp is reached — a
+Cancellation is lazy: :meth:`Event.cancel` marks the event and the queue
+skips cancelled entries when popping. This is O(1) per cancellation and
+avoids the cost of re-heapifying. Lazy cancellation alone, however, lets
+cancelled shells pile up until their timestamp is reached — a
 retransmission timer cancelled on every ack, for instance, keeps one dead
-entry per ack queued, inflating every subsequent operation. Each backend
-therefore *compacts* itself (drops all cancelled shells and rebuilds)
-whenever the shells outnumber the live events and the structure is large
+entry per ack queued, inflating every subsequent operation. The queue
+therefore *compacts* itself (drops all cancelled shells and re-heapifies)
+whenever the shells outnumber the live events and the heap is large
 enough for the rebuild to pay for itself; the O(n) rebuild is amortised
 O(1) per cancellation.
 
@@ -42,8 +30,6 @@ may keep indefinitely. Cancelled shells are never recycled, so a stale
 killing an unrelated new tenant.
 """
 
-import os
-from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 
 #: Sentinel pop() limit meaning "no horizon": any event time compares
@@ -82,17 +68,10 @@ class Event:
         return "Event(t={:.6f}, seq={}{})".format(self.time, self.seq, state)
 
 
-class _QueueBase:
-    """State and bookkeeping shared by both queue backends.
+class EventQueue:
+    """Binary heap of events ordered by ``(time, seq)``."""
 
-    Subclasses provide the storage (``push``/``push_pooled``/``pop``/
-    ``peek_time``/``note_cancelled``/``heap_size``); the ``(time, seq)``
-    contract, the sequence counter, and the event freelist live here so
-    the two backends cannot drift apart on the parts that define
-    determinism.
-    """
-
-    __slots__ = ("_seq", "_live", "_pushed", "_pool")
+    __slots__ = ("_seq", "_live", "_pushed", "_pool", "_heap")
 
     #: Minimum physical size before compaction is considered; below this the
     #: lazy pops clean up cancelled shells cheaply enough on their own.
@@ -107,6 +86,7 @@ class _QueueBase:
         self._live = 0
         self._pushed = 0
         self._pool = []
+        self._heap = []
 
     def __len__(self):
         return self._live
@@ -156,16 +136,6 @@ class _QueueBase:
         """
         if len(self._pool) < self.POOL_MAX:
             self._pool.append(event)
-
-
-class EventQueue(_QueueBase):
-    """Binary heap of events ordered by ``(time, seq)``."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self):
-        _QueueBase.__init__(self)
-        self._heap = []
 
     @property
     def heap_size(self):
@@ -253,275 +223,17 @@ class EventQueue(_QueueBase):
             heapify(self._heap)
 
 
-class TimingWheelQueue(_QueueBase):
-    """Calendar-queue backend: sparse dict-keyed time buckets.
+def resolve_queue_backend():
+    """The event-queue class a :class:`Simulator` builds: :class:`EventQueue`.
 
-    Time is partitioned into fixed-width buckets indexed by
-    ``int(time / width)``. Entries land in an unordered per-bucket list
-    (O(1) append); only when the drain frontier reaches a bucket is it
-    heapified into the *current* heap. A separate min-heap of bucket
-    indices finds the next non-empty bucket without scanning. Because a
-    bucket's entire time range lies strictly before every later bucket's,
-    the current heap's root is always the global minimum — the ``(time,
-    seq)`` total order (including :meth:`reserve`-pinned ties, which share
-    a timestamp and therefore a bucket) is preserved exactly.
-
-    There is no fixed horizon: buckets are created on demand however far
-    ahead an event lands, and the index heap skips the empty gaps, so the
-    wheel degrades gracefully (to roughly heap behaviour) on sparse
-    long-horizon workloads instead of overflowing.
+    Kept for instrumentation that patches the queue's ``pop`` by class
+    (the scenario benchmark's layer tracer).
     """
-
-    __slots__ = ("_cur", "_cur_idx", "_future", "_bucket_heap", "_inv_width",
-                 "_physical")
-
-    #: Default bucket width in simulated seconds. The committed scenarios'
-    #: event horizons are bimodal — ~40% under 100 µs (virtual-time
-    #: completions, local hops) and ~55% between 10 ms and 100 ms (WAN
-    #: link arrivals, pacing rounds) — so 1 ms buckets keep same-bucket
-    #: heap ordering work to the short-horizon cluster while WAN arrivals
-    #: spread across O(10-100) cheap list-append buckets.
-    BUCKET_WIDTH = 1e-3
-
-    def __init__(self, width=None):
-        _QueueBase.__init__(self)
-        self._inv_width = 1.0 / (self.BUCKET_WIDTH if width is None else width)
-        #: Heap of ``(time, seq, event)`` for every entry whose bucket index
-        #: is <= the drain frontier ``_cur_idx``.
-        self._cur = []
-        self._cur_idx = -1
-        #: Bucket index -> unordered list of ``(time, seq, event)`` entries,
-        #: for indices strictly beyond the frontier.
-        self._future = {}
-        #: Min-heap of future bucket indices; may hold stale indices for
-        #: buckets emptied by compaction (skipped on pop).
-        self._bucket_heap = []
-        self._physical = 0
-
-    @property
-    def heap_size(self):
-        """Physical entries across all buckets, including shells."""
-        return self._physical
-
-    def push(self, time, fn, args, seq=None):
-        """Create and enqueue an event; returns its handle."""
-        if seq is None:
-            seq = self._seq
-            self._seq += 1
-        event = Event(time, seq, fn, args)
-        self._pushed += 1
-        self._live += 1
-        self._physical += 1
-        idx = int(time * self._inv_width)
-        if idx <= self._cur_idx:
-            heappush(self._cur, (time, seq, event))
-        else:
-            bucket = self._future.get(idx)
-            if bucket is None:
-                self._future[idx] = [(time, seq, event)]
-                heappush(self._bucket_heap, idx)
-            else:
-                bucket.append((time, seq, event))
-        return event
-
-    def push_pooled(self, time, fn, args, seq=None):
-        """Like :meth:`push`, but may reuse a recycled event record."""
-        if seq is None:
-            seq = self._seq
-            self._seq += 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, seq, fn, args)
-            event.pooled = True
-        self._pushed += 1
-        self._live += 1
-        self._physical += 1
-        idx = int(time * self._inv_width)
-        if idx <= self._cur_idx:
-            heappush(self._cur, (time, seq, event))
-        else:
-            bucket = self._future.get(idx)
-            if bucket is None:
-                self._future[idx] = [(time, seq, event)]
-                heappush(self._bucket_heap, idx)
-            else:
-                bucket.append((time, seq, event))
-        return event
-
-    def _advance(self):
-        """Merge the earliest future bucket into the current heap.
-
-        Returns False when no future bucket holds entries. Advancing the
-        frontier past the kernel clock is harmless: later pushes whose
-        index falls at or behind the frontier go straight into the current
-        heap, which orders them correctly regardless.
-        """
-        future = self._future
-        bheap = self._bucket_heap
-        while bheap:
-            idx = heappop(bheap)
-            bucket = future.pop(idx, None)
-            if bucket is None:
-                continue
-            self._cur_idx = idx
-            cur = self._cur
-            if cur:
-                for entry in bucket:
-                    heappush(cur, entry)
-            else:
-                heapify(bucket)
-                self._cur = bucket
-            return True
-        return False
-
-    def pop(self, limit=None):
-        """Remove and return the earliest non-cancelled event, or None."""
-        if limit is None:
-            limit = _NO_LIMIT
-        while True:
-            cur = self._cur
-            while cur:
-                time, _seq, event = cur[0]
-                if event.cancelled:
-                    heappop(cur)
-                    self._physical -= 1
-                    continue
-                if time > limit:
-                    return None
-                heappop(cur)
-                self._physical -= 1
-                self._live -= 1
-                return event
-            if not self._advance():
-                return None
-
-    def peek_time(self):
-        """Time of the earliest pending event, or None if empty."""
-        while True:
-            cur = self._cur
-            while cur:
-                entry = cur[0]
-                if entry[2].cancelled:
-                    heappop(cur)
-                    self._physical -= 1
-                    continue
-                return entry[0]
-            if not self._advance():
-                return None
-
-    def note_cancelled(self):
-        """Callers must invoke this once per cancelled live event."""
-        self._live -= 1
-        shells = self._physical - self._live
-        if shells > self._live and self._physical >= self.COMPACT_MIN_SIZE:
-            self._compact()
-
-    def _compact(self):
-        cur = [entry for entry in self._cur if not entry[2].cancelled]
-        heapify(cur)
-        self._cur = cur
-        future = {}
-        physical = len(cur)
-        for idx, bucket in self._future.items():
-            live = [entry for entry in bucket if not entry[2].cancelled]
-            if live:
-                future[idx] = live
-                physical += len(live)
-        self._future = future
-        self._bucket_heap = list(future)
-        heapify(self._bucket_heap)
-        self._physical = physical
+    return EventQueue
 
 
-#: Selectable queue backends, by name. ``auto`` resolves via
-#: :func:`resolve_queue_backend`.
-QUEUE_BACKENDS = {
-    "heap": EventQueue,
-    "wheel": TimingWheelQueue,
-}
-
-#: Environment variable consulted when no explicit backend is given —
-#: lets CI exercise both backends without threading a parameter through
-#: every scenario constructor (experiment configs are fingerprinted, so
-#: the queue choice must stay out of them).
-QUEUE_ENV_VAR = "REPRO_SIM_QUEUE"
-
-_context_backend = None
-
-
-def _auto_backend():
-    """The backend ``auto`` resolves to.
-
-    Heuristic: the simulator's committed workloads are dominated by
-    short-horizon events (link arrivals, virtual-time completions) that
-    cluster within a few wheel buckets of the clock — the regime where
-    bucketed O(1) inserts beat heap sifts whose depth grows with the
-    pending-event population (measured mean heap depths run 900–25,000
-    across the figure scenarios). The wheel is therefore the default; the
-    heap remains selectable for sparse or extremely long-horizon event
-    populations where per-bucket bookkeeping would outweigh sift savings.
-    """
-    return TimingWheelQueue
-
-
-def resolve_queue_backend(queue=None):
-    """Resolve a queue selection to a backend class.
-
-    ``queue`` may be a backend class (returned as-is), a name from
-    :data:`QUEUE_BACKENDS`, ``"auto"``, or None — in which case the
-    :func:`queue_backend` context override, then the ``REPRO_SIM_QUEUE``
-    environment variable, then ``auto`` apply, in that order.
-    """
-    if queue is None:
-        queue = _context_backend
-    if queue is None:
-        queue = os.environ.get(QUEUE_ENV_VAR) or "auto"
-    if isinstance(queue, type):
-        return queue
-    if queue == "auto":
-        return _auto_backend()
-    try:
-        return QUEUE_BACKENDS[queue]
-    except KeyError:
-        raise ValueError(
-            "unknown queue backend {!r}; expected one of {}".format(
-                queue, ", ".join(sorted(QUEUE_BACKENDS) + ["auto"])
-            )
-        )
-
-
-@contextmanager
-def queue_backend(queue):
-    """Context manager pinning the default queue backend.
-
-    Applies to every :class:`Simulator` constructed without an explicit
-    ``queue=`` argument inside the block. Used by the A/B equivalence
-    tests and the perf harness to run identical scenario code on both
-    backends; nesting restores the previous default on exit.
-    """
-    global _context_backend
-    previous = _context_backend
-    _context_backend = queue
-    try:
-        yield
-    finally:
-        _context_backend = previous
-
-
-# Re-exported for callers that still reference the module-level helpers.
 __all__ = [
     "Event",
     "EventQueue",
-    "TimingWheelQueue",
-    "QUEUE_BACKENDS",
-    "QUEUE_ENV_VAR",
-    "queue_backend",
     "resolve_queue_backend",
 ]

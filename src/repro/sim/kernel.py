@@ -4,9 +4,13 @@ A :class:`Simulator` owns a virtual clock and an event queue. Components
 schedule callbacks with :meth:`Simulator.schedule` (relative delay) or
 :meth:`Simulator.schedule_at` (absolute time) and the loop executes them in
 timestamp order. The simulator is single-threaded and deterministic.
+
+Pending events live in one binary heap (:class:`repro.sim.events.EventQueue`)
+ordered by ``(time, seq)``; the race auditor swaps in its recording
+subclass of the same heap.
 """
 
-from repro.sim.events import resolve_queue_backend
+from repro.sim.events import EventQueue
 from repro.sim.random import make_stream
 
 
@@ -27,25 +31,15 @@ class Simulator:
         scheduled event and RNG draw. Opt-in and zero-cost when ``None``:
         the only difference is which queue class and stream factory the
         constructor binds — no per-event branch exists on the hot path.
-    queue:
-        Event-queue backend: a class, a name from
-        :data:`repro.sim.events.QUEUE_BACKENDS`, or ``"auto"``. ``None``
-        (the default) defers to the :func:`repro.sim.events.queue_backend`
-        context override, then the ``REPRO_SIM_QUEUE`` environment
-        variable, then the auto heuristic. Both backends honour the exact
-        ``(time, seq)`` contract, so the choice affects wall-clock speed
-        only — every committed scenario is fingerprint-identical across
-        them (enforced by the A/B suite).
     """
 
-    def __init__(self, seed=0, auditor=None, queue=None):
+    def __init__(self, seed=0, auditor=None):
         self.seed = seed
-        backend = resolve_queue_backend(queue)
         if auditor is None:
-            self._queue = backend()
+            self._queue = EventQueue()
             self._stream_factory = make_stream
         else:
-            self._queue = auditor.make_queue(backend)
+            self._queue = auditor.make_queue()
             self._stream_factory = auditor.make_stream
             auditor.bind(self)
         #: Allocate a tie-breaking slot for a possible future event; the
@@ -150,7 +144,8 @@ class Simulator:
         Stops when the queue drains, when simulated time would pass
         ``until``, or after ``max_events`` callbacks. Returns the number of
         events executed by this call. When stopping at ``until`` the clock is
-        advanced exactly to ``until`` so back-to-back ``run`` calls compose.
+        advanced exactly to ``until`` so back-to-back ``run`` calls compose;
+        an ``until`` the clock has already passed leaves it where it is.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
@@ -178,9 +173,9 @@ class Simulator:
                 event = pop(until)
                 if event is None:
                     if until is not None:
-                        # A live event beyond `until` pins the clock at
-                        # `until`; a drained queue never moves it back.
-                        self.now = until if queue else max(self.now, until)
+                        # The clock never moves back, not even when a
+                        # live event lies beyond an `until` in the past.
+                        self.now = max(self.now, until)
                     break
                 self.now = event.time
                 fn = event.fn

@@ -26,19 +26,22 @@ the moment it is accepted::
 :class:`FifoServer` exploits that: it tracks ``busy_until`` arithmetically
 and schedules **zero** kernel events for accounting-only jobs (callback
 ``None`` or :func:`noop`) and exactly one event — at the precomputed
-completion — for jobs with real callbacks. The legacy arrangement (one
-kernel event per job, chained start-to-completion) survives as
-:class:`LegacyFifoServer`; `tests/sim/test_server_equivalence.py` drives
-random traces through both and the A/B fingerprint suite
-(`tests/integration/test_ab_fingerprint.py`) proves full experiment
-reports identical. Stats (``completed``, ``busy_time``) are maintained by
-lazily draining a deque of completion timestamps whenever the server is
-observed — reads through :attr:`FifoServer.stats` always see the state a
-per-job event loop would have produced at the same instant.
+completion — for jobs with real callbacks. Stats (``completed``,
+``busy_time``) are maintained by lazily draining a deque of completion
+timestamps whenever the server is observed — reads through
+:attr:`FifoServer.stats` always see the state a per-job event loop would
+have produced at the same instant.
+
+The per-job event loop it replaced (one kernel event per job, chained
+start-to-completion) is kept as a test oracle in
+``tests/sim/legacy_server.py``: ``tests/sim/test_server_equivalence.py``
+drives random traces through both and requires every observable to
+coincide. Whole deployments are pinned by report fingerprints
+(``tests/integration/test_ab_fingerprint.py`` and
+``benchmarks/perf/BENCH_perf.json``).
 """
 
 from collections import deque
-from contextlib import contextmanager
 
 
 def noop():
@@ -320,108 +323,3 @@ class FifoServer:
             stats.busy_time += pending[0][1]
             charged = True
         self._head_charged = charged
-
-
-class LegacyFifoServer:
-    """Event-per-job FIFO server: the pre-virtual-time implementation.
-
-    Kept verbatim as the executable reference for
-    :class:`FifoServer`'s semantics. The equivalence property tests and
-    the A/B report-fingerprint suite run both implementations against the
-    same traces; :func:`legacy_servers` switches a whole deployment onto
-    this class.
-    """
-
-    __slots__ = ("sim", "capacity", "on_drop", "stats", "slowdown",
-                 "_queue", "_busy")
-
-    def __init__(self, sim, capacity=None, on_drop=None):
-        self.sim = sim
-        self.capacity = capacity
-        self.on_drop = on_drop
-        self.stats = ServerStats()
-        self.slowdown = 1.0
-        self._queue = deque()
-        self._busy = False
-
-    @property
-    def queue_length(self):
-        """Jobs waiting to start (excludes the in-service job)."""
-        return len(self._queue)
-
-    @property
-    def busy(self):
-        return self._busy
-
-    def submit(self, service_time, fn, *args):
-        """Enqueue a job; True if accepted, False if dropped (queue full)."""
-        stats = self.stats
-        stats.submitted += 1
-        if self.slowdown != 1.0:
-            service_time *= self.slowdown
-        if not self._busy:
-            self._start(service_time, fn, args)
-            return True
-        if self.capacity is not None and len(self._queue) >= self.capacity:
-            stats.dropped += 1
-            if self.on_drop is not None:
-                self.on_drop(fn, args)
-            return False
-        self._queue.append((service_time, fn, args))
-        if len(self._queue) > stats.max_queue:
-            stats.max_queue = len(self._queue)
-        return True
-
-    def _start(self, service_time, fn, args):
-        self._busy = True
-        self.stats.busy_time += service_time
-        self.sim.schedule(service_time, self._complete, fn, args)
-
-    def _complete(self, fn, args):
-        self.stats.completed += 1
-        fn(*args)
-        if self._queue:
-            service_time, next_fn, next_args = self._queue.popleft()
-            self._start(service_time, next_fn, next_args)
-        else:
-            self._busy = False
-
-
-#: When True, :func:`make_server` builds :class:`LegacyFifoServer`s.
-#: Toggled by :func:`legacy_servers`; never set directly.
-_legacy_mode = False
-
-
-def using_legacy_servers():
-    """Whether :func:`make_server` currently builds legacy servers."""
-    return _legacy_mode
-
-
-def make_server(sim, capacity=None, on_drop=None):
-    """Build the active FIFO-server implementation.
-
-    All production construction sites (process CPUs, link transmission
-    servers) go through this factory so the A/B verification harness can
-    run entire deployments on the event-per-job reference implementation.
-    """
-    if _legacy_mode:
-        return LegacyFifoServer(sim, capacity, on_drop)
-    return FifoServer(sim, capacity, on_drop)
-
-
-@contextmanager
-def legacy_servers():
-    """Context manager: deployments built inside use event-per-job servers.
-
-    Used by the A/B fingerprint harness to prove that the virtual-time
-    server (and the links' arrival queues, which key off
-    ``submit_timed`` and are therefore absent on legacy servers) produces
-    bitwise-identical experiment reports.
-    """
-    global _legacy_mode
-    previous = _legacy_mode
-    _legacy_mode = True
-    try:
-        yield
-    finally:
-        _legacy_mode = previous

@@ -47,12 +47,11 @@ class ReferenceLink(DirectedLink):
         self._requeue_in_flight()
 
     def transmit_timed(self, payload):
-        submit_fast = self._submit_fast
-        if submit_fast is None or self._jitter_rng is not None:
+        if self._jitter_rng is not None:
             return None
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
-        completion = submit_fast(service, payload)
+        completion = self._submit_fast(service, payload)
         sim = self.sim
         if completion is None:
             return sim.now
@@ -73,11 +72,9 @@ class ReferenceLink(DirectedLink):
         return completion
 
     def abort_pending_chain(self):
-        server = self._server
-        abort = getattr(server, "abort_queued", None)
-        if abort is None or not self._records:
+        if not self._records:
             return 0
-        removed, busy_until = abort(self.sim.now)
+        removed, busy_until = self._server.abort_queued(self.sim.now)
         if removed:
             records = self._records
             sim = self.sim
@@ -88,9 +85,8 @@ class ReferenceLink(DirectedLink):
     def transmit(self, payload, on_wire=None):
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
-        submit_timed = self._submit_timed
-        if submit_timed is not None and self._jitter_rng is None:
-            completion = submit_timed(service, None, payload, on_wire)
+        if self._jitter_rng is None:
+            completion = self._submit_timed(service, None, payload, on_wire)
             if completion is None:
                 return False
             sim = self.sim

@@ -9,8 +9,7 @@ message. Random traces of ``transmit_timed`` / ``transmit_chained`` /
 ``restore`` and mid-run ``stats`` reads are replayed over a few links on
 two simulators, one per implementation. Both must produce the same log:
 every delivery and pacing callback as ``(now, src, uid)`` in execution
-order, every abort result and every ``LinkStats`` snapshot — on both
-queue backends.
+order, every abort result and every ``LinkStats`` snapshot.
 
 Delivered messages with an odd size are forwarded once over the next
 link from inside the delivery callback, so transmits issued while an
@@ -19,13 +18,11 @@ covered too. Latencies, costs and op times come from small palettes so
 exact same-instant ties across links are frequent.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.channel import DirectedLink, LinkConfig
 from repro.net.message import RawPayload
-from repro.sim.events import QUEUE_BACKENDS
 from repro.sim.kernel import Simulator
 from tests.net.reference_link import ReferenceLink
 
@@ -72,8 +69,8 @@ def _snapshot(link):
             stats.dropped_queue, stats.dropped_loss)
 
 
-def _replay(link_cls, queue, link_specs, ops, lossy):
-    sim = Simulator(seed=3, queue=queue)
+def _replay(link_cls, link_specs, ops, lossy):
+    sim = Simulator(seed=3)
     log = []
     links = []
     loss_rng = sim.rng("loss")
@@ -142,10 +139,9 @@ def _replay(link_cls, queue, link_specs, ops, lossy):
     return log
 
 
-@pytest.mark.parametrize("queue", sorted(QUEUE_BACKENDS))
 @given(link_specs=LINKS, ops=OPS, lossy=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_arrival_queue_matches_event_per_message_reference(
-        queue, link_specs, ops, lossy):
-    expected = _replay(ReferenceLink, queue, link_specs, ops, lossy)
-    assert _replay(DirectedLink, queue, link_specs, ops, lossy) == expected
+        link_specs, ops, lossy):
+    expected = _replay(ReferenceLink, link_specs, ops, lossy)
+    assert _replay(DirectedLink, link_specs, ops, lossy) == expected

@@ -1,24 +1,24 @@
-"""Property tests: both queue backends honour the ``(time, seq)`` contract.
+"""Property tests: the event queue honours the ``(time, seq)`` contract.
 
 A random interleaving of ``push`` / ``reserve`` / reserved-``push`` /
 ``cancel`` / ``pop`` operations is replayed against a naive model (a sorted
 list of live ``(time, seq)`` keys). The queue must agree with the model on
-every pop, on the live count, and on ``peek_time`` — for both backends,
-including across compactions triggered mid-sequence.
+every pop, on the live count, and on ``peek_time``, including across
+compactions triggered mid-sequence.
 
-Times are drawn from a palette engineered to stress the wheel: exact ties
-(tie-break by seq), near-ties inside one 1 ms bucket, bucket-boundary
-values, and far-future outliers that leave empty bucket gaps.
+Times are drawn from a palette of exact ties (tie-break by seq), near-ties
+less than a millisecond apart, and far-future outliers, mixed with
+arbitrary floats.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.events import QUEUE_BACKENDS
+from repro.sim.events import EventQueue
 
-# Palette spanning: same-bucket ties/near-ties (0.0 .. 0.0009), the first
-# bucket boundary (0.001), mid-range, and sparse long-horizon outliers.
+# Palette spanning: ties and near-ties (0.0 .. 0.0011), mid-range, and
+# sparse long-horizon outliers.
 TIME_PALETTE = [0.0, 0.0004, 0.0005, 0.0009, 0.001, 0.0011,
                 0.002, 0.01, 0.0101, 0.25, 1.0, 7.5]
 
@@ -44,12 +44,8 @@ OPS = st.lists(
 
 
 # hypothesis rejects function-scoped fixtures inside @given, so the
-# backend axis is a plain parametrize over the (stateless) classes.
-both_backends = pytest.mark.parametrize(
-    "queue_cls",
-    [QUEUE_BACKENDS[name] for name in sorted(QUEUE_BACKENDS)],
-    ids=sorted(QUEUE_BACKENDS),
-)
+# queue class comes from a plain parametrize.
+heap_queue = pytest.mark.parametrize("queue_cls", [EventQueue], ids=["heap"])
 
 
 def _model_min(model):
@@ -108,56 +104,14 @@ def _run_interleaving(queue_cls, ops):
     assert len(queue) == 0
 
 
-@both_backends
+@heap_queue
 @settings(max_examples=100, deadline=None)
 @given(ops=OPS)
 def test_queue_matches_sorted_model(queue_cls, ops):
     _run_interleaving(queue_cls, ops)
 
 
-@settings(max_examples=50, deadline=None)
-@given(ops=OPS)
-def test_backends_agree_with_each_other(ops):
-    """Replaying one op sequence on both backends pops identical keys."""
-    traces = []
-    for name in sorted(QUEUE_BACKENDS):
-        queue = QUEUE_BACKENDS[name]()
-        model = {}
-        reserved = []
-        trace = []
-        for op in ops:
-            kind = op[0]
-            if kind == "push":
-                event = queue.push(op[1], None, ())
-                model[(op[1], event.seq)] = event
-            elif kind == "reserve":
-                reserved.append(queue.reserve())
-            elif kind == "push_reserved":
-                seq = reserved.pop(0) if reserved else None
-                event = queue.push(op[1], None, (), seq)
-                model[(op[1], event.seq)] = event
-            elif kind == "cancel":
-                if model:
-                    key = sorted(model)[op[1] % len(model)]
-                    model.pop(key).cancel()
-                    queue.note_cancelled()
-            else:
-                event = queue.pop(op[1])
-                if event is not None:
-                    trace.append((event.time, event.seq))
-                    del model[(event.time, event.seq)]
-                else:
-                    trace.append(None)
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            trace.append((event.time, event.seq))
-        traces.append(trace)
-    assert traces[0] == traces[1]
-
-
-@both_backends
+@heap_queue
 @settings(max_examples=50, deadline=None)
 @given(
     times=st.lists(TIMES, min_size=70, max_size=120),

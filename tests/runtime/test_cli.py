@@ -154,8 +154,8 @@ def test_perf_command_json_payload(capsys):
     assert measured["events"] > 0
     assert set(measured) >= {"events", "events_scheduled", "wall_s",
                              "events_per_sec", "peak_mem_kb", "fingerprint"}
-    # Single-scenario runs skip the (expensive) legacy comparison.
-    assert "legacy_comparison" not in payload
+    # No section beyond the host and the scenarios.
+    assert set(payload) == {"host", "scenarios"}
 
 
 def test_perf_command_table_output(capsys):
@@ -197,14 +197,6 @@ def test_perf_profile_reports_gc_per_generation(capsys):
     out = capsys.readouterr().out
     assert "cyclic GC: gen0 " in out
     assert ", gen2 " in out
-
-
-def test_perf_queues_command(capsys):
-    assert main(["perf", "--queues", "--repeats", "1"]) == 0
-    out = capsys.readouterr().out
-    for needle in ("queue backends", "push_pop", "interleaved",
-                   "cancel_heavy", "heap", "wheel"):
-        assert needle in out
 
 
 def test_perf_compare_command(tmp_path, capsys):

@@ -1,25 +1,13 @@
-"""Unit tests for the event queue backends.
-
-Every contract test runs against both backends through the ``queue_cls``
-fixture — the heap and the wheel must be observably identical through the
-public API (only wall-clock speed may differ).
-"""
+"""Unit tests for the event queue (the binary heap)."""
 
 import pytest
 
-from repro.sim.events import (
-    Event,
-    EventQueue,
-    QUEUE_BACKENDS,
-    TimingWheelQueue,
-    queue_backend,
-    resolve_queue_backend,
-)
+from repro.sim.events import Event, EventQueue, resolve_queue_backend
 
 
-@pytest.fixture(params=sorted(QUEUE_BACKENDS), ids=str)
+@pytest.fixture(params=[EventQueue], ids=["heap"])
 def queue_cls(request):
-    return QUEUE_BACKENDS[request.param]
+    return request.param
 
 
 def test_push_returns_event_handle(queue_cls):
@@ -222,72 +210,8 @@ def test_pool_is_bounded(queue_cls):
     assert len(queue._pool) <= queue.POOL_MAX
 
 
-def test_wheel_orders_across_and_within_buckets():
-    # Width 1e-3: 0.0004/0.0006 share bucket 0; 0.0014 is bucket 1;
-    # 0.25 is bucket 250. Interleave pushes and pops so late pushes land
-    # behind the drain frontier and must enter the current heap.
-    queue = TimingWheelQueue()
-    queue.push(0.25, "far", ())
-    queue.push(0.0006, "b", ())
-    queue.push(0.0004, "a", ())
-    assert queue.pop().fn == "a"
-    # Frontier now at bucket 0; a new event in an already-drained range
-    # must still sort ahead of everything later.
-    queue.push(0.0005, "a2", ())
-    queue.push(0.0014, "c", ())
-    assert [queue.pop().fn for _ in range(3)] == ["a2", "b", "c"]
-    assert queue.pop().fn == "far"
-    assert queue.pop() is None
-
-
-def test_wheel_custom_width():
-    queue = TimingWheelQueue(width=10.0)
-    queue.push(25.0, "late", ())
-    queue.push(3.0, "early", ())
-    assert [queue.pop().fn for _ in range(2)] == ["early", "late"]
-
-
-def test_wheel_compaction_drops_emptied_buckets():
-    queue = TimingWheelQueue()
-    events = [queue.push(float(i), "e", ()) for i in range(100)]
-    for event in events[:70]:
-        _cancel(queue, event)
-    # Buckets fully emptied by compaction leave stale indices in the
-    # bucket heap; popping must skip them and still drain in order.
-    times = []
-    while True:
-        event = queue.pop()
-        if event is None:
-            break
-        times.append(event.time)
-    assert times == sorted(times)
-    assert len(times) == 30
-
-
-def test_resolve_queue_backend_precedence(monkeypatch):
-    from repro.sim import events as events_mod
-
-    monkeypatch.delenv(events_mod.QUEUE_ENV_VAR, raising=False)
-    # Explicit class or name wins outright.
-    assert resolve_queue_backend(EventQueue) is EventQueue
-    assert resolve_queue_backend("heap") is EventQueue
-    assert resolve_queue_backend("wheel") is TimingWheelQueue
-    # Default is the auto heuristic.
-    assert resolve_queue_backend() is TimingWheelQueue
-    # Context override beats the environment variable...
-    monkeypatch.setenv(events_mod.QUEUE_ENV_VAR, "wheel")
-    with queue_backend("heap"):
-        assert resolve_queue_backend() is EventQueue
-        # ...but an explicit argument beats the context.
-        assert resolve_queue_backend("wheel") is TimingWheelQueue
-    # Environment applies once the context unwinds.
-    monkeypatch.setenv(events_mod.QUEUE_ENV_VAR, "heap")
+def test_resolve_queue_backend_is_the_heap():
     assert resolve_queue_backend() is EventQueue
-
-
-def test_resolve_queue_backend_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown queue backend"):
-        resolve_queue_backend("splay")
 
 
 def test_event_ordering_dunder():

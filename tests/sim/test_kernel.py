@@ -117,6 +117,21 @@ def test_run_until_with_only_cancelled_future_events(sim):
     assert sim.now == 2.0
 
 
+def test_run_until_in_the_past_keeps_clock_with_pending_events(sim):
+    seen = []
+    sim.schedule(5.0, seen.append, "f")
+    sim.run(until=3.0)
+    sim.run(until=1.0)
+    assert sim.now == 3.0
+    assert sim.pending() == 1
+    # An instant the run already reached stays in the past.
+    with pytest.raises(SimulationError):
+        sim.schedule_at(2.0, seen.append, "g")
+    sim.run()
+    assert seen == ["f"]
+    assert sim.now == 5.0
+
+
 def test_callback_cancelling_its_own_event_is_safe(sim):
     """A callback cancelling the very event that invoked it (e.g. a timer
     stopped from inside its firing) must not corrupt the live count."""

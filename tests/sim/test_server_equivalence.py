@@ -10,15 +10,17 @@ probe instant (the virtual-time server's lazy draining must be invisible).
 Probe and submission instants come from continuous uniform draws, so they
 never collide exactly with a completion instant; same-timestamp
 tie-breaking between driver events and server events is therefore not
-exercised here — that hazard is covered end to end by the A/B fingerprint
-suite (tests/integration/test_ab_fingerprint.py).
+exercised here — whole deployments are covered end to end by the report
+fingerprint pins (tests/integration/test_ab_fingerprint.py), whose values
+both servers produced.
 """
 
 import pytest
 
 from repro.sim.kernel import Simulator
 from repro.sim.random import make_stream
-from repro.sim.server import FifoServer, LegacyFifoServer, noop
+from repro.sim.server import FifoServer, noop
+from tests.sim.legacy_server import LegacyFifoServer
 
 
 def _generate_trace(seed):
